@@ -17,6 +17,7 @@ from .errors import (  # noqa: F401
     PdeLabError,
     RolloutDivergedError,
     ShapeError,
+    TapeReplayedError,
     TrainingAbortedError,
 )
 

@@ -2,9 +2,17 @@
 
 The engine supports exactly the closed set of primitives the emulator and its
 losses need.  Operations executed inside an active :class:`Graph` context are
-recorded in execution order; :meth:`Graph.backward` replays the tape in exact
-reverse order, summing adjoints into shared inputs.  Outside a graph the same
-functions run as plain numpy evaluation.
+recorded in execution order; :meth:`Graph.backward` replays the tape once, in
+exact reverse order, summing adjoints into shared inputs and dropping each node
+as soon as it has run, so the arrays a node captured are freed while the
+backward pass proceeds.  :attr:`Graph.n_nodes` keeps counting the nodes that
+were recorded.  Outside a graph the same functions run as plain numpy
+evaluation.
+
+Every primitive keeps its input's dtype: a float32 forward records a float32
+tape and yields float32 gradients.  Under NumPy's promotion rules a numpy
+float64 scalar upcasts a float32 array while a Python float does not, so
+constants that meet tensor data must be Python floats.
 
 Gradients use the convention d(sum of seeded output)/d(input); non-smooth
 points take the conventional subgradient (0 at |x| = 0 ties, boundary
@@ -13,15 +21,16 @@ pass-through for clamp, 0 at zero modulus for the DFT magnitude).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, TapeReplayedError
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _GRAPH_STACK: list["Graph"] = []
 
@@ -75,6 +84,8 @@ class Graph:
 
     def __init__(self):
         self._nodes: list[Callable[[], None]] = []
+        self._recorded = 0
+        self._replayed = False
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -86,21 +97,30 @@ class Graph:
 
     def record(self, backward_fn: Callable[[], None]) -> None:
         self._nodes.append(backward_fn)
+        self._recorded += 1
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        """Number of nodes recorded, including those a backward pass has dropped."""
+        return self._recorded
 
     def backward(self, output: Tensor, seed: np.ndarray | None = None) -> None:
         """Accumulate d(output . seed)/d(leaf) into every tensor on the tape.
 
         ``seed`` defaults to ones, i.e. the gradient of the summed output.
+        The tape replays once: each node is dropped as soon as it has run,
+        which frees its closure, the arrays it captured and its output's
+        gradient.  A second call raises :class:`TapeReplayedError`.
         """
+        if self._replayed:
+            raise TapeReplayedError("this graph's tape was already replayed by backward")
+        self._replayed = True
         if seed is None:
             seed = np.ones_like(output.data)
         output.accumulate(np.asarray(seed, dtype=output.data.dtype))
-        for node in reversed(self._nodes):
-            node()
+        nodes = self._nodes
+        while nodes:
+            nodes.pop()()
 
 
 def active_graph() -> Graph | None:
@@ -182,6 +202,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
+    factor = float(factor)  # a numpy float64 factor would upcast float32 data
     out_data = x.data * factor
     out = None
 

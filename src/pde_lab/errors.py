@@ -35,6 +35,10 @@ class BatchingError(PdeLabError):
     """Batch assembly violated a batching contract, e.g. mixed spatial sizes."""
 
 
+class TapeReplayedError(PdeLabError):
+    """Backward was called a second time on a graph whose tape it already consumed."""
+
+
 class FormatError(PdeLabError):
     """Container file is malformed or inconsistent with the expected layout."""
 

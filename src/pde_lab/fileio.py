@@ -86,6 +86,11 @@ def _read_envelope(path: Path, magic: bytes) -> tuple[dict, bytes]:
     return header, blob[start + header_len :]
 
 
+def _require_finite(path, what: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: {what} holds non-finite values")
+
+
 def write_container(path, kind: str, frames: np.ndarray, header_extra: dict) -> None:
     """Write a PDET1 container with the given frame stack."""
     frames = np.ascontiguousarray(frames, dtype="<f4")
@@ -135,6 +140,7 @@ def read_trajectory(path) -> Trajectory:
     for key in ("snapshot_interval", "t0", "metadata"):
         if key not in header:
             raise FormatError(f"{path}: trajectory header missing {key!r}")
+    _require_finite(path, "trajectory payload", frames)
     return Trajectory(
         frames=frames,
         snapshot_interval=float(header["snapshot_interval"]),
@@ -177,6 +183,7 @@ def read_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:
             .reshape(shape)
             .astype(np.float32)
         )
+        _require_finite(path, f"tensor {entry['name']!r}", tensors[entry["name"]])
         offset += nbytes
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")

@@ -17,6 +17,7 @@ serves every spatial size D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, asdict
 
 import numpy as np
@@ -256,7 +257,7 @@ def local_attention(z: Tensor, model: TensorModel, block_index: int) -> Tensor:
     v_win = _windowed(v, cfg.window)
     q_col = ad.reshape(q, q.shape + (1,))  # [..., D, C, 1]
     logits = ad.reshape(ad.matmul(k_win, q_col), k_win.shape[:-1])  # [..., D, K]
-    logits = ad.scale(logits, 1.0 / np.sqrt(cfg.channels))
+    logits = ad.scale(logits, 1.0 / math.sqrt(cfg.channels))
     logits = ad.add(logits, model[f"{prefix}.pos_bias"])
     weights = ad.softmax_lastaxis(logits)
 

@@ -267,7 +267,7 @@ def _batch_loss(
         noise = Tensor(
             noise_rng.standard_normal(
                 histories.shape[:-2] + (histories.shape[-1], tmodel.config.channels)
-            ).astype(np.float32)
+            ).astype(tmodel["encoder"].dtype)
         )
         members.append(
             emodel.forward(

@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf, softmax
 
 from pde_lab import autodiff as ad
-from pde_lab.errors import ConfigurationError
+from pde_lab.errors import ConfigurationError, PdeLabError, TapeReplayedError
 
 
 class TestPrimitiveGradients:
@@ -208,6 +211,91 @@ class TestTape:
                 ad.exp(ad.Tensor(np.array([1e4])))
         finally:
             ad.set_debug_checks(False)
+
+
+class TestTapeRelease:
+    """Backward replays the tape once and frees each node as it goes."""
+
+    def _graph(self):
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        with ad.Graph() as graph:
+            y = ad.exp(ad.scale(x, 0.5))
+            ref = weakref.ref(y.data)
+            loss = ad.sum_all(y)
+        del y
+        return graph, loss, ref, x
+
+    def test_intermediates_freed(self):
+        graph, loss, ref, x = self._graph()
+        assert ref() is not None  # only the tape holds the intermediate
+        graph.backward(loss)
+        assert ref() is None
+        np.testing.assert_allclose(x.grad, 0.5 * np.exp(0.5 * x.data))
+
+    def test_node_count_survives_backward(self):
+        graph, loss, _, _ = self._graph()
+        assert graph.n_nodes == 3
+        graph.backward(loss)
+        assert graph.n_nodes == 3
+
+    def test_second_backward_rejected(self):
+        graph, loss, _, x = self._graph()
+        graph.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(TapeReplayedError):
+            graph.backward(loss)
+        assert issubclass(TapeReplayedError, PdeLabError)
+        np.testing.assert_array_equal(x.grad, first)
+
+
+def _dtype_shapes(name, lead, rows, cols, inner):
+    """Input shapes for one registered op, built from drawn sizes."""
+    if name == "matmul":
+        return [lead + (rows, inner), lead + (inner, cols)]
+    if name == "linear":
+        return [lead + (rows, inner), (inner, cols)]
+    if name in ("add", "sub", "mul"):
+        return [lead + (rows, cols)] * 2
+    return [lead + (rows, cols)]
+
+
+class TestDtypePreservation:
+    """Float32 inputs give float32 outputs and float32 gradients."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        name=st.sampled_from(sorted(ad.GRADCHECK_OPS)),
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        rows=st.integers(1, 4),
+        cols=st.integers(3, 7),
+        inner=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_registered_ops(self, name, lead, rows, cols, inner, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [
+            ad.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+            for shape in _dtype_shapes(name, lead, rows, cols, inner)
+        ]
+        with ad.Graph() as graph:
+            out = ad.GRADCHECK_OPS[name](*inputs)
+            graph.backward(ad.sum_all(out))
+        assert out.dtype == np.float32
+        assert [t.grad.dtype for t in inputs] == [np.float32] * len(inputs)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        factor=st.floats(-10.0, 10.0, allow_nan=False),
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    )
+    def test_scale_by_numpy_float64(self, factor, shape):
+        x = ad.Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+        with ad.Graph() as graph:
+            out = ad.scale(x, np.float64(factor))
+            graph.backward(out)
+        assert out.dtype == np.float32
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.float32(factor))
 
 
 class TestNarrowStack:

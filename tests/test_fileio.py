@@ -106,6 +106,14 @@ class TestTrajectory:
         with pytest.raises(FormatError, match="not a trajectory"):
             fileio.read_trajectory(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, small_trajectory, bad):
+        small_trajectory.frames[3, 5] = bad
+        path = tmp_path / "t.pdet"
+        fileio.write_trajectory(path, small_trajectory)
+        with pytest.raises(FormatError, match="non-finite"):
+            fileio.read_trajectory(path)
+
     def test_2d_frames(self, tmp_path):
         frames = np.arange(2 * 4 * 6, dtype=np.float32).reshape(2, 4, 6)
         traj = fileio.Trajectory(frames=frames, snapshot_interval=2.0, metadata={"x": 1})
@@ -168,6 +176,15 @@ class TestCheckpoint:
         fileio.write_checkpoint(path, arch, extra, tensors)
         path.write_bytes(path.read_bytes()[:-6])
         with pytest.raises(FormatError, match="truncated"):
+            fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        arch, extra, tensors = self._sample()
+        tensors["blocks.0.query"][1, 2] = bad
+        path = tmp_path / "c.npec"
+        fileio.write_checkpoint(path, arch, extra, tensors)
+        with pytest.raises(FormatError, match="blocks.0.query.* non-finite"):
             fileio.read_checkpoint(path)
 
     def test_trajectory_magic_rejected(self, tmp_path, small_trajectory):

@@ -365,6 +365,50 @@ class TestFinetune:
             training.finetune(params, ss, training.TrainConfig(phase="pretrain", epochs=1))
 
 
+class TestFloat32EndToEnd:
+    """A float32 model keeps the whole forward and backward path in float32."""
+
+    @pytest.mark.parametrize(
+        "phase,loss,trainable",
+        [("pretrain", "mse", "backbone"), ("finetune", "crps_spectral", "all")],
+    )
+    def test_training_step(self, monkeypatch, phase, loss, trainable):
+        params = tiny_model(n_blocks=2, probabilistic=True, use_cond_gates=True)
+        ss = training.build_sample_set([wave_trajectory()], [1.0], 2)
+        histories, targets = training.assemble_batch(ss.shards[0], 2, np.arange(6))
+        config = training.TrainConfig(phase=phase, loss=loss, ensemble_members=3)
+        tmodel = emodel.TensorModel.from_params(params, trainable=trainable)
+
+        dtypes = []
+        finalize = ad._finalize
+
+        def spy(out_data, backward, *inputs):
+            dtypes.append(np.asarray(out_data).dtype)
+            return finalize(out_data, backward, *inputs)
+
+        monkeypatch.setattr(ad, "_finalize", spy)
+        with ad.Graph() as graph:
+            value = training._batch_loss(
+                tmodel, histories, targets, ss.shards[0].conditioning, config,
+                np.random.default_rng(0),
+            )
+            graph.backward(value)
+
+        assert len(dtypes) >= graph.n_nodes > 0
+        assert set(dtypes) == {np.dtype(np.float32)}
+        # The deterministic pretrain forward leaves the sampling head unreached.
+        grads = [t.grad for t in tmodel.trainable() if t.grad is not None]
+        assert len(grads) == len(tmodel.trainable()) - 2 * (phase == "pretrain")
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+
+    def test_predict(self, rng):
+        params = tiny_model(probabilistic=True, use_cond_gates=True)
+        history = rng.standard_normal((2, 24)).astype(np.float32)
+        for mode in ("deterministic", "probabilistic"):
+            out = emodel.predict(params, history, 0.5, mode=mode, rng=rng)
+            assert out.dtype == np.float32, mode
+
+
 class TestMetrics:
     def test_golden_file(self, tmp_path):
         records = [
