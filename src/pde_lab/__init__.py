@@ -10,7 +10,6 @@ emulator reproduces the statistics of the dynamics it was trained on.
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
-    BatchingError,
     ConfigurationError,
     FormatError,
     IntegrationDivergedError,

@@ -9,6 +9,11 @@ backward pass proceeds.  :attr:`Graph.n_nodes` keeps counting the nodes that
 were recorded.  Outside a graph the same functions run as plain numpy
 evaluation.
 
+A primitive computes its output, defines ``backward(grad)`` and returns
+``_finalize(out_data, backward, *inputs)``.  The tape holds zero-argument
+nodes; each runs its primitive's ``backward`` once, and only if the output
+received a gradient.
+
 Every primitive keeps its input's dtype: a float32 forward records a float32
 tape and yields float32 gradients.  Under NumPy's promotion rules a numpy
 float64 scalar upcasts a float32 array while a Python float does not, so
@@ -33,15 +38,6 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _GRAPH_STACK: list["Graph"] = []
-
-# When enabled, every primitive asserts that its output is finite.
-_DEBUG_CHECK_FINITE = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECK_FINITE
-    _DEBUG_CHECK_FINITE = bool(enabled)
-
 
 class Tensor:
     """Array value with an optional gradient buffer of identical shape."""
@@ -128,14 +124,27 @@ def active_graph() -> Graph | None:
     return _GRAPH_STACK[-1] if _GRAPH_STACK else None
 
 
-def _finalize(out_data: np.ndarray, backward: Callable[[], None] | None, *inputs: Tensor) -> Tensor:
-    if _DEBUG_CHECK_FINITE and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError("primitive produced a non-finite output")
+def _finalize(
+    out_data: np.ndarray, backward: Callable[[np.ndarray], None], *inputs: Tensor
+) -> Tensor:
+    """Wrap a primitive's output and, when it needs one, put its node on the tape.
+
+    A node is recorded only inside a graph and only when some input requires a
+    gradient, so a one-input primitive's ``backward`` may assume its input
+    does.  The node is a zero-argument callable; it runs ``backward(grad)``
+    once, with the gradient the output received, and skips it when the output
+    received none.
+    """
     graph = active_graph()
     needs = graph is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
-    if needs and backward is not None:
-        graph.record(backward)
+    if needs:
+
+        def node() -> None:
+            if out.grad is not None:
+                backward(out.grad)
+
+        graph.record(node)
     return out
 
 
@@ -154,219 +163,131 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-    out = None
-
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad, a.shape))
+            a.accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad, b.shape))
+            b.accumulate(_unbroadcast(g, b.shape))
 
-    out = _finalize(out_data, backward, a, b)
-    return out
+    return _finalize(a.data + b.data, backward, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-    out = None
-
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad, a.shape))
+            a.accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(-out.grad, b.shape))
+            b.accumulate(_unbroadcast(-g, b.shape))
 
-    out = _finalize(out_data, backward, a, b)
-    return out
+    return _finalize(a.data - b.data, backward, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-    out = None
-
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad * b.data, a.shape))
+            a.accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad * a.data, b.shape))
+            b.accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out = _finalize(out_data, backward, a, b)
-    return out
+    return _finalize(a.data * b.data, backward, a, b)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     factor = float(factor)  # a numpy float64 factor would upcast float32 data
-    out_data = x.data * factor
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(out.grad * factor)
+    def backward(g):
+        x.accumulate(g * factor)
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(x.data * factor, backward, x)
 
 
 def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(out.grad * out_data)
+    def backward(g):
+        x.accumulate(g * out_data)
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(out_data, backward, x)
 
 
 def clamp(x: Tensor, low: float, high: float) -> Tensor:
-    out_data = np.clip(x.data, low, high)
-    out = None
+    def backward(g):
+        x.accumulate(g * ((x.data >= low) & (x.data <= high)))
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            inside = (x.data >= low) & (x.data <= high)
-            x.accumulate(out.grad * inside)
-
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(np.clip(x.data, low, high), backward, x)
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at x = 0."""
-    out_data = np.abs(x.data)
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(out.grad * np.sign(x.data))
+    def backward(g):
+        x.accumulate(g * np.sign(x.data))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(np.abs(x.data), backward, x)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out_data = x.data.reshape(shape)
-    out = None
+    def backward(g):
+        x.accumulate(g.reshape(x.shape))
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(out.grad.reshape(x.shape))
-
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(x.data.reshape(tuple(shape)), backward, x)
 
 
 def transpose_last2(x: Tensor) -> Tensor:
-    out_data = np.swapaxes(x.data, -1, -2)
-    out = None
+    def backward(g):
+        x.accumulate(np.swapaxes(g, -1, -2))
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(np.swapaxes(out.grad, -1, -2))
-
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(np.swapaxes(x.data, -1, -2), backward, x)
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out_data = np.transpose(x.data, axes)
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(np.transpose(out.grad, inverse))
+    def backward(g):
+        x.accumulate(np.transpose(g, inverse))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(np.transpose(x.data, axes), backward, x)
 
 
 def narrow(x: Tensor, start: int, size: int) -> Tensor:
     """Contiguous slice [start, start + size) of the last axis."""
     if start < 0 or size < 1 or start + size > x.shape[-1]:
         raise ShapeError(f"slice [{start}, {start + size}) exceeds axis of length {x.shape[-1]}")
-    out_data = x.data[..., start : start + size]
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[..., start : start + size] = out.grad
-            x.accumulate(g)
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[..., start : start + size] = g
+        x.accumulate(full)
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(x.data[..., start : start + size], backward, x)
 
 
 def stack0(tensors: Sequence[Tensor]) -> Tensor:
     tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=0)
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         for i, t in enumerate(tensors):
             if t.requires_grad:
-                t.accumulate(out.grad[i])
+                t.accumulate(g[i])
 
-    out = _finalize(out_data, backward, *tensors)
-    return out
+    return _finalize(np.stack([t.data for t in tensors], axis=0), backward, *tensors)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum())
-    out = None
+    def backward(g):
+        x.accumulate(np.full_like(x.data, g))
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.data, out.grad))
-
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(np.asarray(x.data.sum()), backward, x)
 
 
 def mean_all(x: Tensor) -> Tensor:
     count = x.data.size
-    out_data = np.asarray(x.data.mean())
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.data, out.grad / count))
+    def backward(g):
+        x.accumulate(np.full_like(x.data, g / count))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(np.asarray(x.data.mean()), backward, x)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +295,13 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
-    out = None
-
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
+            a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
+            b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    out = _finalize(out_data, backward, a, b)
-    return out
+    return _finalize(a.data @ b.data, backward, a, b)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -394,12 +309,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out_data = x.data @ weight.data
     if bias is not None:
         out_data = out_data + bias.data
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         if x.requires_grad:
             x.accumulate(g @ weight.data.T)
         if weight.requires_grad:
@@ -409,8 +320,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             bias.accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _finalize(out_data, backward, *inputs)
-    return out
+    return _finalize(out_data, backward, *inputs)
 
 
 def layer_normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -420,54 +330,36 @@ def layer_normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     out_data = centered * inv_std
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = out.grad
-            g_mean = g.mean(axis=-1, keepdims=True)
-            gy_mean = (g * out_data).mean(axis=-1, keepdims=True)
-            x.accumulate(inv_std * (g - g_mean - out_data * gy_mean))
+    def backward(g):
+        g_mean = g.mean(axis=-1, keepdims=True)
+        gy_mean = (g * out_data).mean(axis=-1, keepdims=True)
+        x.accumulate(inv_std * (g - g_mean - out_data * gy_mean))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(out_data, backward, x)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF form x * Phi(x)."""
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out_data = x.data * cdf
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data**2)
-            x.accumulate(out.grad * (cdf + x.data * pdf))
+    def backward(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data**2)
+        x.accumulate(g * (cdf + x.data * pdf))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(x.data * cdf, backward, x)
 
 
 def softmax_lastaxis(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = out.grad
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            x.accumulate(out_data * (g - dot))
+    def backward(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        x.accumulate(out_data * (g - dot))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(out_data, backward, x)
 
 
 # ---------------------------------------------------------------------------
@@ -487,22 +379,16 @@ def unfold_circular(x: Tensor, window: int) -> Tensor:
         raise ConfigurationError(f"window {window} exceeds axis length {n}")
     half = (window - 1) // 2
     idx = (np.arange(n)[:, None] + np.arange(window)[None, :] - half) % n
-    out_data = x.data[..., idx]
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            # Offset j contributes out[:, d, j] to x at position (d + j - half),
-            # which is a circular shift of the j-th window column.
-            for j in range(window):
-                g += np.roll(out.grad[..., j], j - half, axis=-1)
-            x.accumulate(g)
+    def backward(g):
+        full = np.zeros_like(x.data)
+        # Offset j contributes out[:, d, j] to x at position (d + j - half),
+        # which is a circular shift of the j-th window column.
+        for j in range(window):
+            full += np.roll(g[..., j], j - half, axis=-1)
+        x.accumulate(full)
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(x.data[..., idx], backward, x)
 
 
 def dft_modulus(x: Tensor) -> Tensor:
@@ -513,22 +399,17 @@ def dft_modulus(x: Tensor) -> Tensor:
     n = x.shape[-1]
     modes = np.fft.rfft(x.data, axis=-1)
     out_data = np.abs(modes)
-    out = None
 
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            safe = np.where(out_data > 0.0, out_data, 1.0)
-            g_modes = np.where(out_data > 0.0, out.grad / safe, 0.0) * modes
-            # Adjoint of rfft: interior bins stand for conjugate pairs, so
-            # halve them before the scaled inverse transform.
-            interior_stop = (n + 1) // 2
-            g_modes[..., 1:interior_stop] *= 0.5
-            x.accumulate(n * np.fft.irfft(g_modes, n=n, axis=-1).astype(x.data.dtype, copy=False))
+    def backward(g):
+        safe = np.where(out_data > 0.0, out_data, 1.0)
+        g_modes = np.where(out_data > 0.0, g / safe, 0.0) * modes
+        # Adjoint of rfft: interior bins stand for conjugate pairs, so
+        # halve them before the scaled inverse transform.
+        interior_stop = (n + 1) // 2
+        g_modes[..., 1:interior_stop] *= 0.5
+        x.accumulate(n * np.fft.irfft(g_modes, n=n, axis=-1).astype(x.data.dtype, copy=False))
 
-    out = _finalize(out_data, backward, x)
-    return out
+    return _finalize(out_data, backward, x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ step.  Arrays are indexed (y, x) so the half-complex transform axis is x.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
 
@@ -227,15 +228,24 @@ def step(state: BetaState, config: BetaConfig, plan: spectral.SpectralPlan) -> B
 
 
 def run(
-    state: BetaState, config: BetaConfig, plan: spectral.SpectralPlan, n_steps: int
+    state: BetaState,
+    config: BetaConfig,
+    plan: spectral.SpectralPlan,
+    n_steps: int,
+    first_step_index: int = 0,
 ) -> BetaState:
-    """Advance `n_steps` steps, failing fast on a non-finite state."""
+    """Advance `n_steps` steps, failing fast on a non-finite state.
+
+    A divergence reports its step counted from `first_step_index`, the number
+    of steps taken before this call.
+    """
     for i in range(n_steps):
         state = step(state, config, plan)
         if not np.all(np.isfinite(state.zeta_modes)):
             raise IntegrationDivergedError(
-                f"state became non-finite at step {i + 1} (t={state.time:.3f})",
-                step=i + 1,
+                f"state became non-finite at step {first_step_index + i + 1} "
+                f"(t={state.time:.3f})",
+                step=first_step_index + i + 1,
                 time=state.time,
             )
     return state
@@ -323,18 +333,7 @@ def eddy_mean_budget(
         damping = zonal_gain(damping, gain) + zonal_gain(mean_u, np.log(gain) / config.dt)
         reynolds = zonal_gain(reynolds, gain)
 
-    quiet = BetaConfig(
-        beta=config.beta,
-        mu=config.mu,
-        epsilon=0.0,
-        forcing_wavenumber=config.forcing_wavenumber,
-        forcing_bandwidth=config.forcing_bandwidth,
-        dt=config.dt,
-        n_points=config.n_points,
-        seed=config.seed,
-        use_filter=config.use_filter,
-        hyperviscosity=config.hyperviscosity,
-    )
+    quiet = dataclasses.replace(config, epsilon=0.0)
     probe = BetaState(zeta_modes=z.copy(), time=state.time, rng=np.random.default_rng(0))
     profiles = [mean_u]
     for _ in range(4):
@@ -390,11 +389,13 @@ def generate_dataset(
     done = 0
     try:
         state = run(state, config, plan, warmup_steps)
+        step_index = warmup_steps
         for i in range(n_snapshots):
             frames[i] = zonal_velocity(state, config, plan)
             done = i + 1
             if i < n_snapshots - 1:
-                state = run(state, config, plan, steps_per_snapshot)
+                state = run(state, config, plan, steps_per_snapshot, step_index)
+                step_index += steps_per_snapshot
     except IntegrationDivergedError as exc:
         raise IntegrationDivergedError(
             f"{exc} after {done} of {n_snapshots} snapshots",

@@ -368,32 +368,54 @@ _ROLLOUT_DEFAULTS = dict(
 )
 
 
-def _cmd_rollout(args) -> int:
-    opt = _resolve(args, _ROLLOUT_DEFAULTS, required=("model", "init", "steps", "out"))
+def _prepare_rollout(opt: dict, traj: fileio.Trajectory, start: int = 0, **extra):
+    """Resolve a rollout of ``opt["model"]`` seeded from ``traj`` at frame ``start``.
+
+    Loads the checkpoint and settles the seed window, the conditioning
+    (``--cond`` or the trajectory's metadata) and the step count (``--steps``
+    or the frames after the seed window).  Returns ``(run, cond, n_steps)``;
+    ``run()`` calls :func:`diagnostics.rollout`, passing ``extra`` through, so
+    a caller can write its manifest in between.
+    """
     params = emodel.load_checkpoint(opt["model"])
-    init = fileio.read_trajectory(opt["init"])
     s = params.config.history
-    start = int(opt["start"])
-    if start < 0 or start + s > init.n_frames:
+    if start < 0 or start + s > traj.n_frames:
         raise ConfigurationError(
             f"start {start} leaves no room for a {s}-frame history in "
-            f"{init.n_frames} frames"
+            f"{traj.n_frames} frames"
         )
-    cond = opt["cond"] if opt["cond"] is not None else _trajectory_conditioning(init)
-    write_manifest(
-        "rollout", opt, [str(opt["model"]), str(opt["init"])], [opt["out"]], args.threads
-    )
-    traj = diagnostics.rollout(
-        params,
-        init.frames[start : start + s],
-        float(cond),
-        int(opt["steps"]),
-        snapshot_interval=init.snapshot_interval,
-        mode=opt["mode"],
-        noise_seed=int(opt["seed"]),
+    n_steps = int(opt["steps"]) if opt["steps"] is not None else traj.n_frames - start - s
+    cond = float(opt["cond"] if opt["cond"] is not None else _trajectory_conditioning(traj))
+
+    def run() -> fileio.Trajectory:
+        return diagnostics.rollout(
+            params,
+            traj.frames[start : start + s],
+            cond,
+            n_steps,
+            snapshot_interval=traj.snapshot_interval,
+            mode=opt["mode"],
+            noise_seed=int(opt["seed"]),
+            **extra,
+        )
+
+    return run, cond, n_steps
+
+
+def _cmd_rollout(args) -> int:
+    opt = _resolve(args, _ROLLOUT_DEFAULTS, required=("model", "init", "steps", "out"))
+    init = fileio.read_trajectory(opt["init"])
+    run, _, _ = _prepare_rollout(
+        opt,
+        init,
+        start=int(opt["start"]),
         cap=float(opt["cap"]),
         metadata={"domain_length": init.metadata.get("domain_length")},
     )
+    write_manifest(
+        "rollout", opt, [str(opt["model"]), str(opt["init"])], [opt["out"]], args.threads
+    )
+    traj = run()
     fileio.write_trajectory(opt["out"], traj)
     print(f"wrote {opt['out']}: {traj.n_frames} frames of {traj.frame_shape}")
     return 0
@@ -419,24 +441,13 @@ _EVAL_PDF_DEFAULTS = dict(
 def _cmd_evaluate_pdf(args) -> int:
     opt = _resolve(args, _EVAL_PDF_DEFAULTS, required=("truth", "model", "out"))
     truth = fileio.read_trajectory(opt["truth"])
-    params = emodel.load_checkpoint(opt["model"])
-    s = params.config.history
-    n_steps = int(opt["steps"]) if opt["steps"] is not None else truth.n_frames - s
-    cond = opt["cond"] if opt["cond"] is not None else _trajectory_conditioning(truth)
+    run, cond, n_steps = _prepare_rollout(opt, truth)
     domain_length = truth.metadata.get("domain_length")
     write_manifest(
         "evaluate pdf", opt, [str(opt["truth"]), str(opt["model"])], [opt["out"]], args.threads
     )
 
-    predicted = diagnostics.rollout(
-        params,
-        truth.frames[:s],
-        float(cond),
-        n_steps,
-        snapshot_interval=truth.snapshot_interval,
-        mode=opt["mode"],
-        noise_seed=int(opt["seed"]),
-    )
+    predicted = run()
     hist_truth = diagnostics.joint_pdf(truth, int(opt["bins"]), domain_length=domain_length)
     hist_model = diagnostics.joint_pdf(
         predicted, edges=hist_truth.edges, domain_length=domain_length
@@ -451,7 +462,7 @@ def _cmd_evaluate_pdf(args) -> int:
         ["metric", "value"],
         [
             ["hellinger", f"{distance:.10e}"],
-            ["conditioning", f"{float(cond):.10g}"],
+            ["conditioning", f"{cond:.10g}"],
             ["rollout_steps", n_steps],
             ["truth_samples", hist_truth.n_samples],
             ["model_samples", hist_model.n_samples],
@@ -478,26 +489,14 @@ def _cmd_evaluate_psd(args) -> int:
     inputs = [str(opt["data"])]
     if opt["model"]:
         inputs.append(str(opt["model"]))
+        run, _, _ = _prepare_rollout(opt, truth)
     write_manifest("evaluate psd", opt, inputs, [opt["out"]], args.threads)
 
     mode_index, psd_truth = diagnostics.zonal_psd(truth)
     header = ["mode_index", "psd_data"]
     columns = [psd_truth]
     if opt["model"]:
-        params = emodel.load_checkpoint(opt["model"])
-        s = params.config.history
-        n_steps = int(opt["steps"]) if opt["steps"] is not None else truth.n_frames - s
-        cond = opt["cond"] if opt["cond"] is not None else _trajectory_conditioning(truth)
-        predicted = diagnostics.rollout(
-            params,
-            truth.frames[:s],
-            float(cond),
-            n_steps,
-            snapshot_interval=truth.snapshot_interval,
-            mode=opt["mode"],
-            noise_seed=int(opt["seed"]),
-        )
-        _, psd_model = diagnostics.zonal_psd(predicted)
+        _, psd_model = diagnostics.zonal_psd(run())
         header.append("psd_model")
         columns.append(psd_model)
     rows = [

@@ -10,7 +10,7 @@ statistics of jet nucleation and coalescence events.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,18 +94,6 @@ class Histogram3D:
         total = self.counts.sum()
         return self.counts / total if total > 0 else self.counts.astype(float)
 
-    @property
-    def density(self) -> np.ndarray:
-        widths = [np.diff(e) for e in self.edges]
-        volume = (
-            widths[0][:, None, None] * widths[1][None, :, None] * widths[2][None, None, :]
-        )
-        return self.mass / volume
-
-    def marginal_mass(self, axis: int) -> np.ndarray:
-        """2D mass with the given variable axis summed out."""
-        return self.mass.sum(axis=axis)
-
 
 def _pdf_samples(traj: Trajectory, domain_length: float | None) -> np.ndarray:
     frames = traj.frames.astype(np.float64)
@@ -121,11 +109,7 @@ def _pdf_samples(traj: Trajectory, domain_length: float | None) -> np.ndarray:
             "domain length unavailable: pass domain_length or set it in trajectory metadata"
         )
     plan = spectral.make_plan(1, n_points, float(domain_length))
-    dk = plan.wavenumber_grid(0)
-
-    modes = np.fft.rfft(frames, axis=1)
-    deriv = modes * (1j * dk)
-    deriv[:, n_points // 2] = 0.0
+    deriv = spectral.derivative_modes(np.fft.rfft(frames, axis=1), plan, 1)
     du_dx = np.fft.irfft(deriv, n=n_points, axis=1)
     du_dt = (frames[2:] - frames[:-2]) / (2.0 * traj.snapshot_interval)
 

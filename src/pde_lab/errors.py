@@ -31,10 +31,6 @@ class RolloutDivergedError(PdeLabError):
         self.step = step
 
 
-class BatchingError(PdeLabError):
-    """Batch assembly violated a batching contract, e.g. mixed spatial sizes."""
-
-
 class TapeReplayedError(PdeLabError):
     """Backward was called a second time on a graph whose tape it already consumed."""
 

@@ -18,7 +18,7 @@ serves every spatial size D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

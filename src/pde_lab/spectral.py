@@ -9,7 +9,7 @@ exponential small-scale filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -159,38 +159,10 @@ def make_plan(
     )
 
 
-@dataclass
-class Field:
-    """Real-space scalar field bound to a plan at a moment in time."""
-
-    values: np.ndarray
-    plan: SpectralPlan
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape != self.plan.grid_shape:
-            raise ShapeError(
-                f"field shape {self.values.shape} does not match grid {self.plan.grid_shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-
 def grid_coordinates(plan: SpectralPlan, axis: int = 0) -> np.ndarray:
     """Node coordinates x_i = L * i / n along `axis` (periodic, endpoint open)."""
     n = plan.n_points[axis]
     return plan.domain_length[axis] * np.arange(n) / n
-
-
-def forward_transform(fld: Field) -> np.ndarray:
-    """Half-complex modes of the field."""
-    return to_modes(fld.values, fld.plan)
-
-
-def inverse_transform(modes: np.ndarray, plan: SpectralPlan, time: float = 0.0) -> Field:
-    """Field reconstructed from half-complex modes."""
-    return Field(to_values(modes, plan), plan, time)
 
 
 def to_modes(values: np.ndarray, plan: SpectralPlan) -> np.ndarray:
@@ -226,22 +198,9 @@ def derivative_modes(modes: np.ndarray, plan: SpectralPlan, order: int, axis: in
     return out
 
 
-def spectral_derivative(fld: Field, order: int, axis: int = 0) -> Field:
-    """Pseudo-spectral partial derivative of the field."""
-    modes = forward_transform(fld)
-    modes = derivative_modes(modes, fld.plan, order, axis)
-    return inverse_transform(modes, fld.plan, fld.time)
-
-
 def dealias(modes: np.ndarray, plan: SpectralPlan) -> np.ndarray:
     """Zero modes outside the 2/3-rule band (|index| <= n // 3 per axis)."""
     if modes.shape != plan.mode_shape:
         raise ShapeError(f"mode shape {modes.shape} does not match layout {plan.mode_shape}")
     return modes * plan.dealias_mask
 
-
-def apply_filter(modes: np.ndarray, plan: SpectralPlan) -> np.ndarray:
-    """Apply the exponential small-scale filter gain."""
-    if modes.shape != plan.mode_shape:
-        raise ShapeError(f"mode shape {modes.shape} does not match layout {plan.mode_shape}")
-    return modes * plan.filter_gain

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as emodel
 from .autodiff import Graph, Tensor
-from .errors import BatchingError, ConfigurationError, TrainingAbortedError
+from .errors import ConfigurationError, TrainingAbortedError
 from .fileio import Trajectory
 
 ADAM_BETA1 = 0.9
@@ -190,14 +190,6 @@ def assemble_batch(shard: Shard, history: int, starts: np.ndarray) -> tuple[np.n
     histories = np.stack([frames[s : s + history] for s in starts])
     targets = frames[starts + history]
     return histories, targets
-
-
-def stack_samples(histories: list[np.ndarray]) -> np.ndarray:
-    """Stack per-sample histories [S, D_i] into a batch, refusing mixed sizes."""
-    sizes = {h.shape for h in histories}
-    if len(sizes) > 1:
-        raise BatchingError(f"cannot batch mixed spatial shapes {sorted(sizes)}")
-    return np.stack(histories)
 
 
 def _split_indices(n_samples: int, val_fraction: float) -> tuple[np.ndarray, np.ndarray]:

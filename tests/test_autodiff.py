@@ -203,14 +203,30 @@ class TestTape:
             graph.backward(y, seed=np.array([1.0, 0.0, -1.0]))
         np.testing.assert_array_equal(x.grad, [3.0, 0.0, -3.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_debug_finite_check(self):
-        ad.set_debug_checks(True)
-        try:
-            with pytest.raises(FloatingPointError):
-                ad.exp(ad.Tensor(np.array([1e4])))
-        finally:
-            ad.set_debug_checks(False)
+    def test_output_without_gradient_skips_its_node(self, monkeypatch):
+        # y = exp(x) is recorded but never reaches the loss, so exp's backward
+        # must not run; x's gradient comes from the scale branch alone.
+        ran = []
+        finalize = ad._finalize
+
+        def spy(out_data, backward, *inputs):
+            def logged(g):
+                ran.append(np.asarray(out_data).copy())
+                backward(g)
+
+            return finalize(out_data, logged, *inputs)
+
+        monkeypatch.setattr(ad, "_finalize", spy)
+        x = ad.Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        with ad.Graph() as graph:
+            y = ad.exp(x)
+            z = ad.scale(x, 2.0)
+            graph.backward(z)
+        assert graph.n_nodes == 2
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        assert len(ran) == 1
+        np.testing.assert_array_equal(ran[0], z.data)
 
 
 class TestTapeRelease:

@@ -275,3 +275,14 @@ class TestDataset:
         cfg = beta_plane.BetaConfig(beta=0.9)
         with pytest.raises(ConfigurationError, match="snapshot interval"):
             beta_plane.generate_dataset(cfg, 3, snapshot_interval=0.05)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_step_counts_from_run_start(self):
+        # dt = 0.5 with unit injection blows up on the first step after the
+        # first snapshot: warmup 2.0 is 4 steps, so the failing step is 5.
+        cfg = beta_plane.BetaConfig(beta=0.9, epsilon=1.0, dt=0.5)
+        with pytest.raises(IntegrationDivergedError) as excinfo:
+            beta_plane.generate_dataset(cfg, 6, warmup=2.0)
+        assert excinfo.value.step == 5
+        assert excinfo.value.time == pytest.approx(2.5)
+        assert excinfo.value.snapshots_completed == 1

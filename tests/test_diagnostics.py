@@ -140,18 +140,6 @@ class TestJointPdf:
             np.testing.assert_array_equal(ea, eb)
         diagnostics.hellinger(ha, hb)
 
-    def test_marginal_mass(self):
-        hist = diagnostics.joint_pdf(traveling_wave())
-        marginal = hist.marginal_mass(2)
-        assert marginal.shape == (50, 50)
-        assert marginal.sum() == pytest.approx(1.0)
-
-    def test_density_integrates_to_one(self):
-        hist = diagnostics.joint_pdf(traveling_wave())
-        widths = [np.diff(e) for e in hist.edges]
-        volume = widths[0][:, None, None] * widths[1][None, :, None] * widths[2][None, None, :]
-        assert (hist.density * volume).sum() == pytest.approx(1.0)
-
 
 class TestHellinger:
     @staticmethod

@@ -5,7 +5,7 @@ from pde_lab import autodiff as ad
 from pde_lab import model as emodel
 from pde_lab import training
 from pde_lab.autodiff import Tensor
-from pde_lab.errors import BatchingError, ConfigurationError, TrainingAbortedError
+from pde_lab.errors import ConfigurationError, TrainingAbortedError
 from pde_lab.fileio import Trajectory
 
 
@@ -186,10 +186,6 @@ class TestSampleSets:
         assert histories.shape == (2, 3, 6)
         np.testing.assert_array_equal(histories[1], ss.shards[0].frames[4:7])
         np.testing.assert_array_equal(targets[1], ss.shards[0].frames[7])
-
-    def test_mixed_shapes_refused(self, rng):
-        with pytest.raises(BatchingError):
-            training.stack_samples([rng.standard_normal((2, 8)), rng.standard_normal((2, 6))])
 
     def test_validation_split_is_trailing(self):
         train, val = training._split_indices(100, 0.05)
