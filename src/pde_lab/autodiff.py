@@ -66,9 +66,16 @@ class Tensor:
         self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add `g` into the gradient buffer.
+
+        The first contribution is stored as a fresh copy, broadcast to the
+        data's shape and cast to its dtype; later ones are added in place.
+        The copy is required: a primitive may hand one array to several inputs.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -295,11 +302,14 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    # A contraction of length 1 is an outer product: one multiply, no gemm.
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            b_t = np.swapaxes(b.data, -1, -2)
+            a.accumulate(_unbroadcast(g * b_t if g.shape[-1] == 1 else g @ b_t, a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            a_t = np.swapaxes(a.data, -1, -2)
+            b.accumulate(_unbroadcast(a_t * g if g.shape[-2] == 1 else a_t @ g, b.shape))
 
     return _finalize(a.data @ b.data, backward, a, b)
 
@@ -367,12 +377,15 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
 
 
 def unfold_circular(x: Tensor, window: int) -> Tensor:
-    """Gather circular windows of odd length along the last axis.
+    """Gather circular windows of odd length along the position axis -2.
 
-    Output shape is ``x.shape + (window,)`` with
-    ``out[..., d, j] = x[..., (d + j - (window - 1) // 2) mod n]``.
+    For a channel-last ``x`` of shape ``[..., D, C]`` the output has shape
+    ``[..., D, K, C]`` (K = ``window``), the layout ``matmul`` reads, with
+    ``out[..., d, j, :] = x[..., (d + j - (window - 1) // 2) mod D, :]``.
     """
-    n = x.shape[-1]
+    if x.ndim < 2:
+        raise ShapeError(f"unfold_circular needs a [..., D, C] input, got shape {x.shape}")
+    n = x.shape[-2]
     if window % 2 != 1:
         raise ConfigurationError(f"window length must be odd, got {window}")
     if window > n:
@@ -381,14 +394,14 @@ def unfold_circular(x: Tensor, window: int) -> Tensor:
     idx = (np.arange(n)[:, None] + np.arange(window)[None, :] - half) % n
 
     def backward(g):
-        full = np.zeros_like(x.data)
-        # Offset j contributes out[:, d, j] to x at position (d + j - half),
-        # which is a circular shift of the j-th window column.
-        for j in range(window):
-            full += np.roll(g[..., j], j - half, axis=-1)
+        # Offset j contributes out[..., d, j, :] to x at position (d + j - half),
+        # which is a circular shift of the j-th window slice.
+        full = np.roll(g[..., 0, :], -half, axis=-2)
+        for j in range(1, window):
+            full += np.roll(g[..., j, :], j - half, axis=-2)
         x.accumulate(full)
 
-    return _finalize(x.data[..., idx], backward, x)
+    return _finalize(np.take(x.data, idx, axis=-2), backward, x)
 
 
 def dft_modulus(x: Tensor) -> Tensor:
@@ -434,7 +447,7 @@ _register("linear", linear)
 _register("layer_normalize", layer_normalize)
 _register("gelu", gelu)
 _register("softmax_lastaxis", softmax_lastaxis)
-_register("unfold_circular", lambda x: unfold_circular(x, min(3, x.shape[-1] | 1)))
+_register("unfold_circular", lambda x: unfold_circular(x, min(3, (x.shape[-2] - 1) | 1)))
 _register("dft_modulus", dft_modulus)
 _register("transpose_last2", transpose_last2)
 _register("sum_all", sum_all)

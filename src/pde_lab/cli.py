@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -943,7 +944,36 @@ def _resolve_threads(value) -> int:
     return 1
 
 
+# glibc mallopt parameters (malloc.h) and the mmap threshold's 64-bit ceiling.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory the process frees for reuse instead of returning it to the OS.
+
+    By default glibc hands freed heap tops and every block above its mmap
+    threshold back to the kernel, so each training step faults in and
+    zero-fills the pages the previous step released.  Never trimming, and
+    serving blocks up to 32 MiB from the heap, keeps those pages.  Both
+    settings are needed: setting either one alone freezes glibc's dynamic mmap
+    threshold at its 128 KiB start, which maps every array.  RSS then stays at
+    its high-water mark until the process exits.  Without a libc ``mallopt``
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,11 +4,13 @@ The network maps a short history of snapshots [S, D] to the next snapshot [D].
 Internally the latent lives channel-last as [..., D, C]: a per-position linear
 encoder, an optional sampling head (mean and log-std with reparametrised
 noise), N residual blocks of windowed single-head self-attention plus a gelu
-MLP, and a per-position linear decoder.  A small conditioning map turns the
-physical parameter vector into per-block scale/shift pairs applied after each
-layer normalization; its weights start at zero with bias (1, 0), so an
-unconditioned (pretrained) network and the conditioned one start out as the
-same function.
+MLP, and a per-position linear decoder.  Attention gathers the K-position
+circular neighbourhood of every position into window stacks [..., D, K, C], so
+both attention products are batched matrix products over the position axis.
+A small conditioning map turns the physical parameter vector into per-block
+scale/shift pairs applied after each layer normalization; its weights start at
+zero with bias (1, 0), so an unconditioned (pretrained) network and the
+conditioned one start out as the same function.
 
 No operation depends on absolute position, and the attention windows wrap
 circularly, so the emulator commutes with cyclic shifts and one set of weights
@@ -237,14 +239,6 @@ def sample_latent(z: Tensor, model: TensorModel, noise: Tensor) -> Tensor:
     return ad.add(mean, ad.mul(ad.exp(log_std), noise))
 
 
-def _windowed(x: Tensor, window: int) -> Tensor:
-    """[..., D, C] to window stacks [..., D, K, C]."""
-    unfolded = ad.unfold_circular(ad.transpose_last2(x), window)  # [..., C, D, K]
-    n = unfolded.ndim
-    axes = tuple(range(n - 3)) + (n - 2, n - 1, n - 3)
-    return ad.permute(unfolded, axes)
-
-
 def local_attention(z: Tensor, model: TensorModel, block_index: int) -> Tensor:
     """Single-head attention over circular windows with a learned offset bias."""
     cfg = model.config
@@ -253,8 +247,8 @@ def local_attention(z: Tensor, model: TensorModel, block_index: int) -> Tensor:
     k = ad.linear(z, model[f"{prefix}.key"])
     v = ad.linear(z, model[f"{prefix}.value"])
 
-    k_win = _windowed(k, cfg.window)  # [..., D, K, C]
-    v_win = _windowed(v, cfg.window)
+    k_win = ad.unfold_circular(k, cfg.window)  # [..., D, K, C]
+    v_win = ad.unfold_circular(v, cfg.window)
     q_col = ad.reshape(q, q.shape + (1,))  # [..., D, C, 1]
     logits = ad.reshape(ad.matmul(k_win, q_col), k_win.shape[:-1])  # [..., D, K]
     logits = ad.scale(logits, 1.0 / math.sqrt(cfg.channels))

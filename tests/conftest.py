@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from pde_lab import fileio
+from pde_lab import cli, fileio
+
+# Run the suite under the allocator settings `cli.main` applies, so the long
+# in-process trainings (the acceptance toy pretrain runs 400 epochs) reuse the
+# pages they free instead of faulting them in again every step.
+cli._keep_freed_memory()
 
 
 @pytest.fixture

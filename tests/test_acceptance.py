@@ -186,7 +186,7 @@ PRIMITIVE_SHAPES = {
     "layer_normalize": [(4, 6)],
     "gelu": [(5, 5)],
     "softmax_lastaxis": [(3, 7)],
-    "unfold_circular": [(2, 9)],
+    "unfold_circular": [(9, 2)],
     "dft_modulus": [(3, 8)],
     "transpose_last2": [(2, 3, 4)],
     "sum_all": [(3, 4)],

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf, softmax
 
 from pde_lab import autodiff as ad
-from pde_lab.errors import ConfigurationError, PdeLabError, TapeReplayedError
+from pde_lab.errors import ConfigurationError, PdeLabError, ShapeError, TapeReplayedError
 
 
 class TestPrimitiveGradients:
@@ -25,7 +25,7 @@ class TestPrimitiveGradients:
         "layer_normalize": [(4, 6)],
         "gelu": [(5, 5)],
         "softmax_lastaxis": [(3, 7)],
-        "unfold_circular": [(2, 9)],
+        "unfold_circular": [(9, 2)],
         "dft_modulus": [(3, 8)],
         "transpose_last2": [(2, 3, 4)],
         "sum_all": [(3, 4)],
@@ -48,7 +48,9 @@ class TestPrimitiveGradients:
             (lambda x: ad.narrow(x, 1, 2), [(3, 5)]),
             (lambda a, b: ad.stack0([a, b]), [(2, 3), (2, 3)]),
             (lambda x, w, b: ad.linear(x, w, b), [(4, 3), (3, 2), (2,)]),
-            (lambda x: ad.unfold_circular(x, 5), [(2, 7)]),
+            (lambda x: ad.unfold_circular(x, 5), [(7, 2)]),
+            (ad.matmul, [(2, 3, 4), (2, 4, 1)]),
+            (ad.matmul, [(2, 1, 4), (4, 5)]),
         ],
     )
     def test_structural_ops(self, fn, shapes):
@@ -117,29 +119,31 @@ class TestForwardValues:
 class TestUnfold:
     def test_window_contents(self):
         """Each output row is the circular neighborhood of its position."""
-        x = ad.Tensor(np.arange(6.0))
+        x = ad.Tensor(np.arange(6.0)[:, None])
         out = ad.unfold_circular(x, 3).data
         expected = np.stack(
             [np.roll(np.arange(6.0), 1), np.arange(6.0), np.roll(np.arange(6.0), -1)],
             axis=-1,
-        )
+        )[:, :, None]
         np.testing.assert_array_equal(out, expected)
 
     def test_gradient_counts_window_hits(self):
         """Summing the unfolded tensor touches every element once per offset,
         so the gradient is exactly `window` everywhere."""
-        x = ad.Tensor(np.arange(8.0), requires_grad=True)
+        x = ad.Tensor(np.arange(16.0).reshape(8, 2), requires_grad=True)
         with ad.Graph() as graph:
             loss = ad.sum_all(ad.unfold_circular(x, 5))
             graph.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.full(8, 5.0))
+        np.testing.assert_array_equal(x.grad, np.full((8, 2), 5.0))
 
     def test_validation(self):
-        x = ad.Tensor(np.zeros(6))
+        x = ad.Tensor(np.zeros((6, 1)))
         with pytest.raises(ConfigurationError):
             ad.unfold_circular(x, 4)
         with pytest.raises(ConfigurationError):
             ad.unfold_circular(x, 7)
+        with pytest.raises(ShapeError):
+            ad.unfold_circular(ad.Tensor(np.zeros(6)), 3)
 
 
 class TestDftModulusEdgeCases:
@@ -227,6 +231,34 @@ class TestTape:
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
         assert len(ran) == 1
         np.testing.assert_array_equal(ran[0], z.data)
+
+
+class TestAccumulate:
+    """The first gradient contribution is copied, broadcast and cast."""
+
+    def test_inputs_of_add_do_not_share_a_buffer(self):
+        a = ad.Tensor(np.ones(3), requires_grad=True)
+        b = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Graph() as graph:
+            z = ad.add(a, b)
+            graph.backward(z)
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0, 1.0])
+
+    def test_same_input_twice_sums(self):
+        x = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with ad.Graph() as graph:
+            graph.backward(ad.add(x, x))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_scalar_seed_broadcasts(self):
+        x = ad.Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
+        with ad.Graph() as graph:
+            y = ad.scale(x, 3.0)
+            graph.backward(y, seed=2.0)
+        assert x.grad.shape == (4,)
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
 class TestTapeRelease:

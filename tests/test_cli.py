@@ -1,5 +1,9 @@
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +352,47 @@ class TestEvaluate:
         rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
         assert np.isfinite(float(rows["lyapunov_exponent"]))
         assert "Lyapunov" in capsys.readouterr().out
+
+
+RETENTION_PROBE = """
+import resource
+import numpy as np
+from pde_lab import cli
+
+
+def churn():
+    arrays = [np.ones(2 * 1024 * 1024, dtype=np.float32) for _ in range(6)]
+    del arrays
+
+
+cli._keep_freed_memory()
+churn()  # the first round faults the pages in
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_freed_memory_is_kept():
+    """After a warm-up round, 20 more rounds of six 8 MiB arrays reuse their pages.
+
+    With glibc's defaults the same loop faults in tens of thousands of pages.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", RETENTION_PROBE], capture_output=True, text=True, env=env, check=True,
+        timeout=120,
+    )
+    assert int(out.stdout) < 1000
 
 
 class TestInspect:
